@@ -12,8 +12,8 @@ parallel sharded streamer — is a thin driver around one loop:
      shard ranges)                          │
                                             ▼
                                       KernelState
-                              (dense E×p counts  |  bounded
-                               LRU presence table)
+                              (dense E×p counts  |  uncapped
+                               streaming table  |  capped LRU table)
 
 * :mod:`~repro.engine.blocks` — :class:`VertexBlock` (the currency),
   the :class:`VertexSource` protocol, in-memory/chunk-stream adapters,
@@ -21,13 +21,16 @@ parallel sharded streamer — is a thin driver around one loop:
   binary chunk store) and shard-range splitting;
 * :mod:`~repro.engine.kernel` — :func:`pass_kernel`, the single
   remaining implementation of Algorithm 1's pass body, with per-vertex
-  (exact) and per-chunk (vectorised matmul) scoring modes;
+  (exact) and per-chunk (vectorised matmul) scoring modes, and a fused
+  per-vertex loop for exact count tables under Eq. 1;
 * :mod:`~repro.engine.njit_kernel` — the optional numba-compiled twin
   of the vertex-exact loop (``kernel="auto"|"python"|"njit"``, resolved
   by :func:`resolve_kernel` with a warned python fallback);
 * :mod:`~repro.engine.scorers` — the pluggable value functions;
-* :mod:`~repro.engine.states` — the dense kernel state (the bounded one
-  is :class:`repro.streaming.state.StreamingState`);
+* :mod:`~repro.engine.states` — the dense kernel state and the
+  :class:`~repro.engine.states.ExactCountTable` base the fused loop
+  runs on (the streaming tables are
+  :class:`repro.streaming.state.StreamingState`);
 * :mod:`~repro.engine.parallel` — forked-worker fan-out and the
   presence-table merge behind parallel sharded streaming.
 """

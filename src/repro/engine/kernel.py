@@ -9,8 +9,9 @@ remaining implementation; the variation lives in its inputs:
 
 * **blocks** — any iterable of :class:`~repro.engine.blocks.VertexBlock`
   (in-memory order, out-of-core chunks, a restream window, a shard);
-* **state** — dense exact counts or the bounded capped presence table
-  (see :mod:`repro.engine.states`);
+* **state** — dense exact counts, the uncapped array-backed streaming
+  table or the bounded capped LRU presence table (see
+  :mod:`repro.engine.states`);
 * **scorer** — Eq. 1 or FENNEL (see :mod:`repro.engine.scorers`);
 * **restream** — lift each vertex out before scoring (restreaming) or
   score it as a first-time arrival (one-pass placement);
@@ -27,6 +28,25 @@ remaining implementation; the variation lives in its inputs:
   :mod:`~repro.engine.njit_kernel`) or ``"auto"``; the resolved mode is
   returned so drivers can record it as ``kernel_mode`` metadata.
 
+``score_mode="vertex"`` runs one of three loops, chosen from the state
+and scorer types alone:
+
+* the **fused exact-table loop** — an
+  :class:`~repro.engine.states.ExactCountTable` state (the dense counts
+  or the uncapped streaming table) scored by exactly
+  :class:`~repro.engine.scorers.HyperPRAWScorer`.  Each visit gathers
+  the vertex's rows once, takes its own pins off ``X[old]``
+  arithmetically instead of a ``remove`` followed by a ``gather``,
+  writes counts only when the vertex moves, and refreshes the Eq. 1
+  load penalty only for the two parts whose loads changed (same
+  per-element float ops as :meth:`HyperPRAWScorer.vertex_values`).
+  The reference-order bookkeeping of a streaming table is written once
+  per block.  Results are bit-identical to the general loop;
+* the **general loop** below — every other state/scorer pair (the
+  capped LRU table, min-max, HYPE, FENNEL), and the tests' reference
+  for the fused loop;
+* the **compiled loop** when ``kernel`` resolves to ``"njit"``.
+
 The per-vertex floating-point operation order is preserved from the
 historical loops, so refactored partitioners reproduce their previous
 assignments bit for bit (pinned by golden-hash tests), and the compiled
@@ -41,6 +61,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.njit_kernel import resolve_kernel, run_njit_block
+from repro.engine.scorers import HyperPRAWScorer
+from repro.engine.states import ExactCountTable
 
 __all__ = ["pass_kernel", "apply_balance_cap"]
 
@@ -153,9 +175,20 @@ def pass_kernel(
             run_njit_block(block, state, scorer, assignment, restream, cap)
         return mode
 
+    if (
+        score_mode == "vertex"
+        and isinstance(state, ExactCountTable)
+        and type(scorer) is HyperPRAWScorer
+    ):
+        _exact_eq1_pass(
+            blocks, state, scorer, assignment, restream, cap,
+            values, cap_mask, cap_scratch,
+        )
+        return mode
+
     if score_mode == "vertex":
         # States advertising gather(out=) get a reused length-p buffer;
-        # the bounded LRU table builds its rows itself.
+        # the streaming tables build their rows themselves.
         gather_out = (
             np.empty(p, dtype=np.float64)
             if getattr(state, "gather_accepts_out", False)
@@ -229,3 +262,68 @@ def pass_kernel(
             state.insert_block(edges_all, ptr, new)
         assignment[ids] = new
     return mode
+
+
+def _exact_eq1_pass(
+    blocks, state, scorer, assignment, restream, cap, values, cap_mask, cap_scratch
+) -> None:
+    """The fused vertex loop for an exact count table under Eq. 1.
+
+    Bit-identical to the general loop on the same inputs: the counts
+    are integers, so ``X[old] -= degree`` equals gathering after a
+    ``remove``; the value vector is built by the same numpy calls in
+    the same order; and ``pen`` holds ``loads * (1 / E) * alpha`` per
+    element, recomputed for a part with the same scalar operations
+    whenever its load changes.
+    """
+    loads = state.loads
+    p = scorer.num_parts
+    C = scorer.cost_matrix
+    alpha = scorer.alpha
+    inv = scorer._inv_expected
+    threshold = scorer.presence_threshold
+    pen = np.multiply(loads, inv)
+    pen *= alpha
+    X_int = np.empty(p, dtype=np.int64)
+    X = np.empty(p, dtype=np.float64)
+    for block in blocks:
+        table, rows_all = state.block_rows(block.vertex_edges)
+        ptr = block.vertex_ptr.tolist()
+        weights = block.vertex_weights.tolist()
+        for i, v in enumerate(block.ids.tolist()):
+            lo = ptr[i]
+            hi = ptr[i + 1]
+            w_v = weights[i]
+            if restream:
+                old = int(assignment[v])
+                loads[old] -= w_v
+                pen[old] = loads[old] * inv[old] * alpha
+            if hi > lo:
+                rows = rows_all[lo:hi]
+                table.take(rows, axis=0).sum(axis=0, out=X_int)
+                X[:] = X_int
+                if restream:
+                    X[old] -= hi - lo
+                # Counts are non-negative integers, so X >= 1 is X != 0.
+                n_neigh = np.count_nonzero(
+                    X if threshold == 1 else X >= threshold
+                )
+                np.matmul(C, X, out=values)
+                values *= -(n_neigh / p)
+            else:
+                values.fill(0.0)
+            values -= pen
+            if cap is not None:
+                apply_balance_cap(
+                    values, loads, w_v, cap, out=cap_mask, scratch=cap_scratch
+                )
+            j = int(values.argmax())
+            if hi > lo and not (restream and j == old):
+                # Column views: 1-D fancy updates beat 2-D (rows, part) ones.
+                if restream:
+                    table[:, old][rows] -= 1
+                table[:, j][rows] += 1
+            loads[j] += w_v
+            pen[j] = loads[j] * inv[j] * alpha
+            assignment[v] = j
+        state.touch_rows(rows_all)

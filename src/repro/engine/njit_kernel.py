@@ -10,10 +10,14 @@ restreaming wall time: :class:`~repro.engine.states.DenseKernelState`
 
 Everything else stays on the python path by design, not by omission:
 
-* the bounded :class:`~repro.streaming.state.StreamingState` runs a
-  capped LRU table whose eviction order is part of the contract (its
-  golden hashes depend on per-vertex touch order) — compiling around an
-  ``OrderedDict`` buys nothing;
+* the streaming tables (:mod:`repro.streaming.state`) keep a
+  least-recently-referenced order that is part of the contract: the
+  capped :class:`~repro.streaming.state.LRUStreamingState` evicts by it
+  around an ``OrderedDict``, and the uncapped, array-backed
+  :class:`~repro.streaming.state.ExactStreamingState` sums its
+  monitored cost in it.  The uncapped table under Eq. 1 runs the
+  kernel's fused python loop instead (see
+  :func:`repro.engine.kernel.pass_kernel`);
 * ``score_mode="chunk"`` is already one numpy matmul per block.
 
 Selection is centralised in :func:`resolve_kernel`: ``"auto"`` silently

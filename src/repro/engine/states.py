@@ -15,12 +15,18 @@ small duck-typed protocol:
     ``True`` lets the kernel batch a chunk's pin-count updates at block
     end (loads still update live per placement) — the dense fast path.
 
-Two states implement it:
+States whose counts are exact also derive from :class:`ExactCountTable`
+and expose their count table directly (``block_rows``/``touch_rows``);
+the kernel's fused Eq. 1 visit loop runs on those alone.
+
+Three states implement the protocol:
 
 * :class:`DenseKernelState` (here) — the exact ``(E x p)`` count matrix,
   shared with :class:`~repro.core.state.StreamState` for HyperPRAW or
   zero-initialised for place-only streams (FENNEL);
-* :class:`~repro.streaming.state.StreamingState` — the bounded, capped
+* :class:`~repro.streaming.state.ExactStreamingState` — the uncapped
+  streaming table: exact counts for the nets seen so far, array-backed;
+* :class:`~repro.streaming.state.LRUStreamingState` — the bounded, capped
   LRU presence table of the out-of-core partitioners
   (``place_deferred = False``: its table must see every placement in
   arrival order for the eviction policy to mean anything).
@@ -30,10 +36,37 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DenseKernelState"]
+__all__ = ["DenseKernelState", "ExactCountTable"]
 
 
-class DenseKernelState:
+class ExactCountTable:
+    """Base of the states that keep exact per-net partition pin counts.
+
+    Exact means no count is ever dropped or clamped: when a vertex is
+    restreamed, its own pins are present in its old part's rows.  That
+    is the condition the kernel's fused Eq. 1 visit loop relies on to
+    subtract the vertex's pins arithmetically instead of calling
+    ``remove`` and gathering again (see :func:`~repro.engine.kernel.
+    pass_kernel`).  Subclasses expose their table to that loop through
+    two methods:
+
+    ``block_rows(edges)``
+        ``(table, rows)``: the ``(rows x p)`` integer count table and
+        the table row of every net in ``edges`` (creating zero rows for
+        nets not seen before), so ``table[rows]`` are their counts;
+    ``touch_rows(rows)``
+        record that ``rows`` were referenced, in order — the loop calls
+        it once per block with every row the block visited.
+    """
+
+    def block_rows(self, edges: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        raise NotImplementedError
+
+    def touch_rows(self, rows: np.ndarray) -> None:
+        raise NotImplementedError
+
+
+class DenseKernelState(ExactCountTable):
     """Exact dense counts + loads, in kernel-protocol form.
 
     Parameters
@@ -74,6 +107,16 @@ class DenseKernelState:
             np.zeros((num_edges, num_parts), dtype=np.int64),
             np.zeros(num_parts, dtype=np.float64),
         )
+
+    # ------------------------------------------------------------------
+    # exact-table access (the fused visit loop)
+    # ------------------------------------------------------------------
+    def block_rows(self, edges: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """The count matrix and ``edges`` themselves: row ``e`` is net ``e``."""
+        return self.edge_counts, edges
+
+    def touch_rows(self, rows: np.ndarray) -> None:
+        """No-op: dense counts keep no reference order."""
 
     # ------------------------------------------------------------------
     # per-vertex operations

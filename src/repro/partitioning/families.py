@@ -64,7 +64,11 @@ from repro.engine import (
 )
 from repro.hypergraph.model import Hypergraph
 from repro.streaming.reader import DEFAULT_CHUNK_SIZE, HypergraphChunkStream
-from repro.streaming.state import StreamingState, resolve_cost_matrix
+from repro.streaming.state import (
+    LRUStreamingState,
+    StreamingState,
+    resolve_cost_matrix,
+)
 
 __all__ = [
     "FamilySpec",
@@ -353,7 +357,7 @@ class NeighborhoodExpansion(Partitioner):
 # ----------------------------------------------------------------------
 # (ii) limited-memory min-max streaming
 # ----------------------------------------------------------------------
-class MinMaxState(StreamingState):
+class MinMaxState(LRUStreamingState):
     """Capped-LRU presence table with a live per-part connectivity counter.
 
     Two deltas against the base table, both serving the min-max
@@ -428,33 +432,9 @@ class MinMaxState(StreamingState):
                 X += table[slot] > 0
         return X
 
-    def gather_block(
-        self, rows_all: np.ndarray, vertex_ptr: np.ndarray
-    ) -> np.ndarray:
-        m = vertex_ptr.size - 1
-        p = self.num_parts
-        X = np.zeros((m, p), dtype=np.int64)
-        if rows_all.size == 0:
-            return X
-        uniq, inverse = np.unique(rows_all, return_inverse=True)
-        slots = self._slots
-        slot_arr = np.empty(uniq.size, dtype=np.int64)
-        for k, e in enumerate(uniq.tolist()):
-            slot = slots.get(e)
-            if slot is None:
-                slot_arr[k] = -1
-            else:
-                slots.move_to_end(e)
-                slot_arr[k] = slot
-        presence_uniq = np.zeros((uniq.size, p), dtype=np.int64)
-        tracked = slot_arr >= 0
-        presence_uniq[tracked] = self._table[slot_arr[tracked]] > 0
-        seg = presence_uniq[inverse]
-        degs = np.diff(vertex_ptr)
-        nonzero = degs > 0
-        if nonzero.any():
-            X[nonzero] = np.add.reduceat(seg, vertex_ptr[:-1][nonzero], axis=0)
-        return X
+    def _gathered_rows(self, slots: np.ndarray) -> np.ndarray:
+        # gather_block sums net presence, not pin counts
+        return self._table[slots] > 0
 
     def _recount(self) -> None:
         n = len(self._slots)

@@ -16,8 +16,11 @@ massive-scale placement of HYPE, arXiv:1810.11319 — makes explicit):
   HTTP service (:mod:`repro.service`) parses uploads straight off the
   socket without materialising them.
 * :mod:`~repro.streaming.state` — :class:`StreamingState`: exact
-  per-partition loads plus a capped, LRU-evicting per-hyperedge presence
-  table; the bounded stand-in for the dense ``(E x p)`` count matrix.
+  per-partition loads plus a per-hyperedge presence table — uncapped
+  and array-backed (:class:`~repro.streaming.state.ExactStreamingState`)
+  or capped with LRU eviction
+  (:class:`~repro.streaming.state.LRUStreamingState`); the bounded
+  stand-in for the dense ``(E x p)`` count matrix.
 * :mod:`~repro.streaming.onepass` — :class:`OnePassStreamer`: place each
   vertex once, on arrival, with the architecture-aware value function
   (Eq. 1).

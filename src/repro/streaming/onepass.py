@@ -104,11 +104,12 @@ class OnePassStreamer(Partitioner):
         ranges are balanced.
     kernel:
         inner-loop implementation request (``"auto"``/``"python"``/
-        ``"njit"``).  The bounded LRU presence table has no compiled
-        path (its eviction order is part of the contract), so this
+        ``"njit"``).  The streaming presence tables have no compiled
+        path (their reference order is part of the contract), so this
         streamer always resolves to python — an explicit ``"njit"``
         warns once and falls back; the resolved mode is reported as
-        ``kernel_mode`` metadata.
+        ``kernel_mode`` metadata.  Uncapped and Eq. 1-scored, the
+        python pass runs the kernel's fused exact-table loop.
     """
 
     name = "stream-onepass"

@@ -383,7 +383,7 @@ class BufferedRestreamer(Partitioner):
             stream_counts[0], stream_counts[1], p, self.config.alpha_initial
         )
         # Resolve the kernel once per shard (one fallback warning at
-        # most): the bounded LRU table always resolves to python.
+        # most): the streaming tables always resolve to python.
         kernel_mode = resolve_kernel(
             self.config.kernel,
             state,

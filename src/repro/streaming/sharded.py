@@ -509,6 +509,10 @@ class ShardedStreamer(Partitioner):
                         continue
                     rollback = True  # refinement stopped improving
                     break
+                else:
+                    # Out of passes: a last pass that left the tolerance
+                    # must not stand over a recorded within-tolerance one.
+                    rollback = damp and best_cost < np.inf
 
             finals = pool.stop(
                 [("stop", {"rollback": rollback, "boundary_edges": boundary})]

@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.architecture.cost import uniform_cost_matrix
 from repro.core import HyperPRAW, HyperPRAWConfig
@@ -32,6 +34,7 @@ from repro.engine import (
 from repro.hypergraph.suite import load_instance
 from repro.partitioning.fennel import FennelStreaming
 from repro.streaming import BufferedRestreamer, HypergraphChunkStream, OnePassStreamer
+from repro.streaming.state import ExactStreamingState, LRUStreamingState
 
 
 def _digest(assignment: np.ndarray) -> str:
@@ -288,6 +291,150 @@ class TestScorerEquivalence:
         for i in range(7):
             scorer.vertex_values(X[i], loads, out)
             assert np.allclose(M[i], out)
+
+
+class _GeneralEq1(HyperPRAWScorer):
+    """Eq. 1 under another type: the kernel's general loop scores it."""
+
+
+@st.composite
+def exact_kernel_cases(draw):
+    """A random stream for the fused-vs-general equivalence test.
+
+    Vertex edge lists are duplicate-free, as every reader emits them;
+    ``dup`` repeats one pin per vertex for the dense-state leg only.
+    Isolated vertices, non-integer weights, both presence thresholds,
+    the balance cap and several block splits are all drawn.
+    """
+    p = draw(st.integers(2, 6))
+    num_edges = draw(st.integers(1, 24))
+    n = draw(st.integers(p, 40))
+    lists = [
+        draw(st.lists(st.integers(0, num_edges - 1), max_size=5, unique=True))
+        for _ in range(n)
+    ]
+    weights = np.array(
+        draw(st.lists(st.floats(0.25, 3.0), min_size=n, max_size=n))
+    )
+    cuts = sorted(set(draw(st.lists(st.integers(1, n - 1), max_size=4))))
+    return {
+        "p": p,
+        "num_edges": num_edges,
+        "lists": lists,
+        "weights": weights,
+        "bounds": list(zip([0] + cuts, cuts + [n])),
+        "threshold": draw(st.sampled_from([1, 2])),
+        "cap": draw(st.sampled_from([None, 1.15, 1.6])),
+        "dup": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def _case_blocks(case, lists, scale=1.0):
+    blocks = []
+    for lo, hi in case["bounds"]:
+        degs = [len(lists[v]) for v in range(lo, hi)]
+        ptr = np.zeros(hi - lo + 1, dtype=np.int64)
+        np.cumsum(degs, out=ptr[1:])
+        edges = [e for v in range(lo, hi) for e in lists[v]]
+        blocks.append(
+            VertexBlock(
+                ids=np.arange(lo, hi, dtype=np.int64),
+                vertex_ptr=ptr,
+                vertex_edges=np.array(edges, dtype=np.int64),
+                vertex_weights=case["weights"][lo:hi] * scale,
+            )
+        )
+    return blocks
+
+
+def _drive_exact_kernel(case, state, scorer_cls, lists):
+    """One-pass placement, restream passes, then a sharded-style round:
+    a ``set_rows`` overlay and a pass with nshards-scaled (damped)
+    weights.  Returns the assignment and the per-pass monitored costs."""
+    p = case["p"]
+    rng = np.random.default_rng(case["seed"])
+    C = rng.uniform(1.0, 3.0, (p, p))
+    C = (C + C.T) / 2
+    np.fill_diagonal(C, 0.0)
+    n = len(lists)
+    expected = np.full(p, case["weights"].sum() / p)
+    cap = None if case["cap"] is None else case["cap"] * expected[0]
+    blocks = _case_blocks(case, lists)
+    assignment = np.full(n, -1, dtype=np.int64)
+    costs = []
+    streaming = not isinstance(state, DenseKernelState)
+    for restream, alpha in ((False, 0.9), (True, 2.0), (True, 0.6)):
+        scorer = scorer_cls(C, alpha, expected, case["threshold"])
+        mode = pass_kernel(
+            blocks, state, scorer, assignment, restream=restream, cap=cap,
+            kernel="python",
+        )
+        assert mode == "python"
+        if streaming:
+            costs.append(state.pc_cost(C))
+    if streaming:
+        overlay = np.unique(rng.integers(0, case["num_edges"], 4))
+        state.set_rows(overlay, state.rows(overlay))
+        damped = _case_blocks(case, lists, scale=3.0)
+        pass_kernel(
+            damped, state, scorer_cls(C, 1.3, expected, case["threshold"]),
+            assignment, restream=True, cap=cap, kernel="python",
+        )
+        costs.append(state.pc_cost(C, exclude_edges=overlay))
+    return assignment, costs
+
+
+class TestFusedExactLoop:
+    """The fused Eq. 1 loop against the general loop, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_kernel_cases())
+    def test_streaming_table_matches_general_loop(self, case):
+        """Exact array table, fused loop == the same table under the
+        general loop == the OrderedDict table under the general loop."""
+        p = case["p"]
+        runs = []
+        for cls, scorer_cls in (
+            (ExactStreamingState, HyperPRAWScorer),
+            (ExactStreamingState, _GeneralEq1),
+            (LRUStreamingState, _GeneralEq1),
+        ):
+            state = cls(p, expected_loads=np.ones(p))
+            assignment, costs = _drive_exact_kernel(
+                case, state, scorer_cls, case["lists"]
+            )
+            edges, counts = state.export_table()
+            runs.append(
+                (
+                    assignment.tobytes(),
+                    state.loads.tobytes(),
+                    edges.tobytes(),
+                    counts.tobytes(),
+                    [c.hex() for c in costs],
+                    state.peak_tracked_edges,
+                )
+            )
+        assert runs[0] == runs[1] == runs[2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_kernel_cases())
+    def test_dense_state_matches_general_loop(self, case):
+        lists = case["lists"]
+        if case["dup"]:
+            lists = [edges + edges[:1] for edges in lists]
+        runs = []
+        for scorer_cls in (HyperPRAWScorer, _GeneralEq1):
+            state = DenseKernelState.empty(case["num_edges"], case["p"])
+            assignment, _ = _drive_exact_kernel(case, state, scorer_cls, lists)
+            runs.append(
+                (
+                    assignment.tobytes(),
+                    state.loads.tobytes(),
+                    state.edge_counts.tobytes(),
+                )
+            )
+        assert runs[0] == runs[1]
 
 
 def _run_vertex_kernel(instance, scorer_kind, restream, cap, kernel):

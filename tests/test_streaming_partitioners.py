@@ -76,6 +76,32 @@ class TestStreamingState:
         for i in range(chunk.num_vertices):
             assert X[i].tolist() == state.gather(chunk.edges_of(i)).tolist()
 
+    def test_uncapped_table_rows_scale_with_nets_seen(self):
+        """A shard touching k of E nets holds rows for those k, not E."""
+        from repro.engine import HyperPRAWScorer, VertexBlock, pass_kernel
+
+        p, num_edges, k = 8, 400_000, 3000
+        rng = np.random.default_rng(0)
+        nets = num_edges - 1 - np.arange(k, dtype=np.int64)  # the top ids
+        edges = np.concatenate([rng.choice(nets, 4, replace=False) for _ in range(k)])
+        block = VertexBlock(
+            ids=np.arange(k, dtype=np.int64),
+            vertex_ptr=np.arange(0, 4 * k + 1, 4, dtype=np.int64),
+            vertex_edges=edges,
+            vertex_weights=np.ones(k),
+        )
+        state = StreamingState(p, expected_loads=np.full(p, k / p))
+        pass_kernel(
+            [block],
+            state,
+            HyperPRAWScorer(uniform_cost_matrix(p), 1.0, state.expected_loads),
+            np.full(k, -1, dtype=np.int64),
+        )
+        seen = np.unique(edges).size
+        assert state.num_tracked_edges == state.peak_tracked_edges == seen
+        assert state._table.shape[0] <= 2 * seen
+        assert state.export_table()[1].sum() == edges.size
+
     def test_pc_cost_matches_dense_metric(self, instance):
         from repro.core.metrics import partitioning_comm_cost
 
@@ -379,6 +405,28 @@ class TestShardedStreamer:
             for _ in range(2)
         ]
         assert np.array_equal(runs[0], runs[1])
+
+    def test_pass_cap_rolls_back_an_over_tolerance_last_pass(self):
+        """On this stream boundary pass 8 ends within the 1.1 tolerance
+        and pass 9 leaves it; capped at 9 passes, the run must return
+        pass 8's partition, not the over-tolerance last one."""
+        from repro.streaming import ShardedStreamer
+
+        hg = load_instance("sparsine", scale=0.05)
+
+        def run(cap):
+            return ShardedStreamer(
+                OnePassStreamer(chunk_size=16),
+                workers=2,
+                boundary_max_iterations=cap,
+            ).partition_stream(HypergraphChunkStream(hg, 16), 8, seed=0)
+
+        within, capped = run(8), run(9)
+        assert capped.metadata["boundary_iterations"] == 9
+        loads = np.bincount(capped.assignment, minlength=8)
+        assert loads.max() / loads.mean() <= 1.1
+        assert np.array_equal(capped.assignment, within.assignment)
+        assert capped.metadata["imbalance"] == within.metadata["imbalance"]
 
     def test_workers_knob_on_partitioners_and_config(self, instance):
         """workers surfaces through ctor args and HyperPRAWConfig."""
